@@ -15,23 +15,24 @@ Every operator here is a declarative :class:`~repro.dycore.stencil.
 StencilSpec` compiled once per mesh into a kernel plan with a pluggable
 backend (see :mod:`repro.dycore.stencil`):
 
+* ``fused`` — the default: pad-zeroing folded into weights, folded
+  normalisations + single-``einsum`` reductions, in-place combines on
+  the gathered arrays, ``np.bincount`` scatter-accumulates, optional
+  numexpr/numba.
 * ``reference`` — the eager NumPy expressions, bitwise identical to the
-  pre-stencil operators; the default.
-* ``fused`` — preallocated ``out=``/scratch buffers, pad-zeroing folded
-  into weights, folded normalisations + single-``einsum`` reductions,
-  ``np.bincount`` scatter-accumulates, optional numexpr/numba.
+  pre-stencil operators; the oracle tests compare against.
 
 Backend selection, most specific wins::
 
-    ops.divergence(mesh, F, backend="fused")      # per call
-    bind_stencil_backend(mesh, "fused")           # per mesh (solver does
+    ops.divergence(mesh, F, backend="reference")  # per call
+    bind_stencil_backend(mesh, "reference")       # per mesh (solver does
                                                   # this from DycoreConfig)
-    REPRO_STENCIL_BACKEND=fused                   # process default
+    REPRO_STENCIL_BACKEND=reference               # process default
 
 The compiled plans live on the mesh (:func:`mesh_ops` /
 :func:`repro.dycore.stencil.compiled_kernels`), are built under a module
-lock, and are immutable after publish — safe to share across
-``repro.serve`` threads on a warm model.
+lock, are immutable after publish and keep no per-call state — safe for
+any number of threads to call at once on one mesh.
 """
 
 from __future__ import annotations

@@ -64,9 +64,9 @@ class DycoreConfig:
     #: amplify in the thin uppermost layers).
     sponge_levels: int = 3
     sponge_timescale: float = 1.0e4
-    #: Stencil backend the core's operators compile to ("reference" —
-    #: bitwise, the default — or "fused"; ``None`` keeps the mesh/env
-    #: default).  Bound to the mesh at construction, so the distributed
+    #: Stencil backend the core's operators compile to ("fused" — the
+    #: default — or "reference", the bitwise oracle; ``None`` keeps the
+    #: mesh/env default).  Bound to the mesh at construction, so the distributed
     #: driver's rank-local cores inherit the same backend through the
     #: shared config.  See :mod:`repro.dycore.stencil`.
     stencil_backend: str | None = None

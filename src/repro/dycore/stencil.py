@@ -11,21 +11,20 @@ with Python", PAPERS.md).  Two backends exist:
 ``reference``
     Today's eager NumPy expressions, verbatim.  Bitwise identical to the
     pre-refactor operators; the oracle every other backend is judged
-    against, and the default.
+    against.
 
 ``fused``
-    Eliminates the per-call temporaries that make the reference path
-    memory-bandwidth bound (Hoefler et al., "Towards Specialized
-    Supercomputers for Climate Sciences"): gathers land in preallocated
-    per-plan scratch via ``np.take(..., out=...)``, pad-zeroing is folded
-    into the precomputed weights (pad lanes carry weight 0 instead of a
-    scatter-mask pass), the area/count normalisations are folded into the
-    gather weights, weighted reductions run as a single ``einsum``, and
-    the 1-D flux divergence is rewritten from a padded gather into a
-    ``np.bincount`` scatter-accumulate over precompiled flat index
-    tables.  ``numexpr``/``numba`` are used when importable and degrade
-    *silently* to pure NumPy when not (nothing here may ever require an
-    install).
+    The process default.  Eliminates the per-call temporaries that make
+    the reference path memory-bandwidth bound (Hoefler et al., "Towards
+    Specialized Supercomputers for Climate Sciences"): pad-zeroing is
+    folded into the precomputed weights (pad lanes carry weight 0
+    instead of a scatter-mask pass), the area/count normalisations are
+    folded into the gather weights, weighted reductions run as a single
+    ``einsum``, two-point combines run in place on the freshly gathered
+    array, and the 1-D flux divergence is rewritten from a padded gather
+    into a ``np.bincount`` scatter-accumulate.  ``numexpr``/``numba`` are
+    used when importable and degrade *silently* to pure NumPy when not
+    (nothing here may ever require an install).
 
 Backend contract
 ----------------
@@ -41,11 +40,10 @@ configurations keep their exact reference rounding.
 
 Thread-safety: compilation is guarded by a module lock and plans are
 **immutable after publish** — every index/weight array is built before
-the plan is attached to the mesh, and per-dtype lookups never mutate
-published state (exotic dtypes are computed fresh, uncached).  Fused
-*scratch* buffers are single-consumer like the solver that owns the
-mesh: one mesh = one solver stepping sequentially (the warm serve pool
-hands each model to exactly one request at a time).
+the plan is attached to the mesh, per-dtype lookups never mutate
+published state (exotic dtypes are computed fresh, uncached), and no
+kernel keeps per-call state on the plan, so any number of threads may
+call one mesh's kernels at once.
 """
 
 from __future__ import annotations
@@ -294,8 +292,8 @@ class OperatorCache:
 
 def default_backend() -> str:
     """Process-wide default backend (``REPRO_STENCIL_BACKEND`` or
-    ``reference``)."""
-    return resolve_backend_name(os.environ.get(BACKEND_ENV) or "reference")
+    ``fused``)."""
+    return resolve_backend_name(os.environ.get(BACKEND_ENV) or "fused")
 
 
 def resolve_backend_name(name: str) -> str:
@@ -384,13 +382,23 @@ def compiled_kernels(mesh: Mesh, backend: str | None = None):
 # -- reference backend -----------------------------------------------------
 
 class ReferenceKernels:
-    """The eager NumPy operators, verbatim — the bitwise oracle."""
+    """The eager NumPy operators, verbatim — the bitwise oracle.
+
+    A plan holds the mesh's geometry arrays (references, not copies), not
+    the mesh: the mesh owns its plans, so a back-reference would make
+    every discarded mesh wait for the cyclic garbage collector.
+    """
 
     backend = "reference"
 
     def __init__(self, mesh: Mesh, cache: OperatorCache):
-        self.mesh = mesh
         self.cache = cache
+        self.cell_area = mesh.cell_area
+        self.vertex_area = mesh.vertex_area
+        self.de = mesh.de
+        self.le = mesh.le
+        self.cell_recon = mesh.cell_recon
+        self.edge_tangent = mesh.edge_tangent
 
     # gather helper (pad lanes must read as zero)
     def gather_edges(self, edge_field: np.ndarray) -> np.ndarray:
@@ -406,12 +414,12 @@ class ReferenceKernels:
         extra = gathered.ndim - 2
         w = w.reshape(w.shape + (1,) * extra)
         acc = (gathered * w).sum(axis=1)
-        area = self.mesh.cell_area.reshape((-1,) + (1,) * extra)
+        area = self.cell_area.reshape((-1,) + (1,) * extra)
         return acc / area
 
     def gradient(self, cell_field: np.ndarray) -> np.ndarray:
         c = self.cache
-        de = self.mesh.de.reshape((-1,) + (1,) * (cell_field.ndim - 1))
+        de = self.de.reshape((-1,) + (1,) * (cell_field.ndim - 1))
         return (cell_field[c.edge_c2] - cell_field[c.edge_c1]) / de
 
     def curl(self, u_edge: np.ndarray) -> np.ndarray:
@@ -421,7 +429,7 @@ class ReferenceKernels:
         extra = ue.ndim - 2
         w = w.reshape(w.shape + (1,) * extra)
         acc = (ue * w).sum(axis=1)
-        area = self.mesh.vertex_area.reshape((-1,) + (1,) * extra)
+        area = self.vertex_area.reshape((-1,) + (1,) * extra)
         return acc / area
 
     def cell_to_edge(self, cell_field: np.ndarray) -> np.ndarray:
@@ -455,16 +463,16 @@ class ReferenceKernels:
         valid = c.cell_edges_valid
         ug = np.where(valid.reshape(valid.shape + (1,) * (ug.ndim - 2)), ug, 0.0)
         if ug.ndim == 2:
-            return np.einsum("nik,nk->ni", self.mesh.cell_recon, ug)
-        return np.einsum("nik,nkl->nil", self.mesh.cell_recon, ug)
+            return np.einsum("nik,nk->ni", self.cell_recon, ug)
+        return np.einsum("nik,nkl->nil", self.cell_recon, ug)
 
     def tangential_velocity(self, u_edge: np.ndarray) -> np.ndarray:
         c = self.cache
         vec = self.reconstruct_cell_vectors(u_edge)      # (nc, 3[, nlev])
         ve = 0.5 * (vec[c.edge_c1] + vec[c.edge_c2])     # (ne, 3[, nlev])
         if ve.ndim == 2:
-            return np.einsum("ej,ej->e", ve, self.mesh.edge_tangent)
-        return np.einsum("ejl,ej->el", ve, self.mesh.edge_tangent)
+            return np.einsum("ej,ej->e", ve, self.edge_tangent)
+        return np.einsum("ejl,ej->el", ve, self.edge_tangent)
 
     def kinetic_energy(self, u_edge: np.ndarray) -> np.ndarray:
         vec = self.reconstruct_cell_vectors(u_edge)
@@ -480,27 +488,35 @@ class ReferenceKernels:
         div = self.divergence(u_edge)
         zeta = self.curl(u_edge)
         grad_div = self.gradient(div)
-        le = self.mesh.le.reshape((-1,) + (1,) * (u_edge.ndim - 1))
+        le = self.le.reshape((-1,) + (1,) * (u_edge.ndim - 1))
         curl_zeta = (zeta[c.edge_v2] - zeta[c.edge_v1]) / le
         return grad_div - curl_zeta
 
 
 # -- fused backend ---------------------------------------------------------
 
+def _take(field: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Row gather into a fresh array (indices are in range by build)."""
+    return np.take(field, idx, axis=0, mode="clip")
+
+
 class FusedKernels(ReferenceKernels):
-    """Temporary-eliminating backend: folded weights, ``out=`` scratch,
-    single-``einsum`` reductions, ``bincount`` scatter-accumulate.
+    """Temporary-eliminating backend: folded weights, in-place combines
+    on the gathered arrays, single-``einsum`` reductions, ``bincount``
+    scatter-accumulate.
 
     The fast path covers float64 fields; other dtypes delegate to the
     inherited reference kernels so MIX precision keeps reference
-    rounding exactly.  Scratch buffers are compiled per (name, shape,
-    dtype) and are single-consumer (one mesh = one sequential solver).
+    rounding exactly.  Every gather lands in a fresh array owned by the
+    call, so a plan holds no per-call state and any number of threads
+    may share it.
     """
 
     backend = "fused"
 
     def __init__(self, mesh: Mesh, cache: OperatorCache):
         super().__init__(mesh, cache)
+        self.nc = mesh.nc
         # Folded weights: normalisation baked into the gather weight so
         # the weighted reduction is one einsum with no divide pass.
         self.div_w_fold = cache.div_w / mesh.cell_area[:, None]
@@ -510,48 +526,16 @@ class FusedKernels(ReferenceKernels):
         self.inv_cell_area = 1.0 / mesh.cell_area
         self.de_col = mesh.de[:, None]
         self.le_col = mesh.le[:, None]
-        # Flat scatter-index tables of the bincount divergence, per
-        # trailing length; {L: (flat_c1, flat_c2)} built under the plan
-        # lock and published whole.
-        self._flat_idx: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._scratch: dict[tuple, np.ndarray] = {}
-        self._lock = threading.Lock()
         self._use_numexpr = NUMEXPR_AVAILABLE and _jit_enabled()
         self._div1d_jit = self._compile_div1d() if (
             NUMBA_AVAILABLE and _jit_enabled()
         ) else None
 
     # -- compiled resources ------------------------------------------------
-    def _buf(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-        key = (name, shape, np.dtype(dtype))
-        buf = self._scratch.get(key)
-        if buf is None:
-            with self._lock:
-                buf = self._scratch.get(key)
-                if buf is None:
-                    buf = np.empty(shape, dtype=dtype)
-                    self._scratch[key] = buf
-        return buf
-
-    def _flat(self, L: int) -> tuple[np.ndarray, np.ndarray]:
-        got = self._flat_idx.get(L)
-        if got is None:
-            with self._lock:
-                got = self._flat_idx.get(L)
-                if got is None:
-                    lanes = np.arange(L)
-                    c = self.cache
-                    got = (
-                        (c.edge_c1[:, None] * L + lanes).ravel(),
-                        (c.edge_c2[:, None] * L + lanes).ravel(),
-                    )
-                    self._flat_idx[L] = got
-        return got
-
     def _compile_div1d(self):  # pragma: no cover - needs numba installed
         """JIT the 1-D edge->cell scatter-accumulate when numba exists."""
         c1, c2 = self.cache.edge_c1, self.cache.edge_c2
-        le, inv_area, nc = self.mesh.le, self.inv_cell_area, self.mesh.nc
+        le, inv_area, nc = self.le, self.inv_cell_area, self.nc
 
         @_numba.njit(cache=False)
         def div1d(flux):
@@ -571,19 +555,12 @@ class FusedKernels(ReferenceKernels):
             f.dtype == np.float64 and f.ndim <= 2 for f in fields
         )
 
-    def _take(self, field, idx, name):
-        out = self._buf(name, idx.shape + field.shape[1:], field.dtype)
-        np.take(field, idx, axis=0, out=out, mode="clip")
-        return out
-
     # -- kernels -----------------------------------------------------------
     def gather_edges(self, edge_field: np.ndarray) -> np.ndarray:
-        # Same pad-weight fold as reference, but gathered into scratch;
-        # returns a fresh array (callers may keep it).
         if not self._fast(edge_field):
             return super().gather_edges(edge_field)
         c = self.cache
-        g = self._take(edge_field, c.cell_edges_idx, "gather_edges")
+        g = _take(edge_field, c.cell_edges_idx)
         w = c.edge_gather_w
         return g * w.reshape(w.shape + (1,) * (g.ndim - 2))
 
@@ -595,32 +572,27 @@ class FusedKernels(ReferenceKernels):
             # cells; np.bincount replaces the padded gather entirely.
             if self._div1d_jit is not None:  # pragma: no cover
                 return self._div1d_jit(flux_edge)
-            nc = self.mesh.nc
-            ebuf = self._buf("div_ebuf", flux_edge.shape)
-            np.multiply(flux_edge, self.mesh.le, out=ebuf)
-            acc = np.bincount(self.cache.edge_c1, weights=ebuf, minlength=nc)
-            acc -= np.bincount(self.cache.edge_c2, weights=ebuf, minlength=nc)
+            ebuf = flux_edge * self.le
+            acc = np.bincount(self.cache.edge_c1, weights=ebuf, minlength=self.nc)
+            acc -= np.bincount(self.cache.edge_c2, weights=ebuf, minlength=self.nc)
             acc *= self.inv_cell_area
             return acc
-        g = self._take(flux_edge, self.cache.cell_edges_idx, "div_gather")
+        g = _take(flux_edge, self.cache.cell_edges_idx)
         return np.einsum("ndl,nd->nl", g, self.div_w_fold)
 
     def gradient(self, cell_field: np.ndarray) -> np.ndarray:
         if not self._fast(cell_field):
             return super().gradient(cell_field)
         c = self.cache
-        a = self._take(cell_field, c.edge_c2, "grad_a")
-        b = self._take(cell_field, c.edge_c1, "grad_b")
-        out = np.empty_like(a)
-        np.subtract(a, b, out=out)
-        de = self.mesh.de if out.ndim == 1 else self.de_col
-        np.divide(out, de, out=out)
+        out = _take(cell_field, c.edge_c2)
+        np.subtract(out, _take(cell_field, c.edge_c1), out=out)
+        np.divide(out, self.de if out.ndim == 1 else self.de_col, out=out)
         return out
 
     def curl(self, u_edge: np.ndarray) -> np.ndarray:
         if not self._fast(u_edge):
             return super().curl(u_edge)
-        g = self._take(u_edge, self.cache.vertex_edges_idx, "curl_gather")
+        g = _take(u_edge, self.cache.vertex_edges_idx)
         if g.ndim == 2:
             return np.einsum("nd,nd->n", g, self.curl_w_fold)
         return np.einsum("ndl,nd->nl", g, self.curl_w_fold)
@@ -629,10 +601,8 @@ class FusedKernels(ReferenceKernels):
         if not self._fast(cell_field):
             return super().cell_to_edge(cell_field)
         c = self.cache
-        a = self._take(cell_field, c.edge_c1, "c2e_a")
-        b = self._take(cell_field, c.edge_c2, "c2e_b")
-        out = np.empty_like(a)
-        np.add(a, b, out=out)
+        out = _take(cell_field, c.edge_c1)
+        np.add(out, _take(cell_field, c.edge_c2), out=out)
         out *= 0.5
         return out
 
@@ -642,25 +612,24 @@ class FusedKernels(ReferenceKernels):
         if not self._fast(cell_field, u_edge):
             return super().cell_to_edge_upwind(cell_field, u_edge)
         c = self.cache
-        a = self._take(cell_field, c.edge_c1, "up_a")
-        b = self._take(cell_field, c.edge_c2, "up_b")
-        return np.where(u_edge >= 0.0, a, b)
+        return np.where(
+            u_edge >= 0.0,
+            _take(cell_field, c.edge_c1), _take(cell_field, c.edge_c2),
+        )
 
     def vertex_to_edge(self, vertex_field: np.ndarray) -> np.ndarray:
         if not self._fast(vertex_field):
             return super().vertex_to_edge(vertex_field)
         c = self.cache
-        a = self._take(vertex_field, c.edge_v1, "v2e_a")
-        b = self._take(vertex_field, c.edge_v2, "v2e_b")
-        out = np.empty_like(a)
-        np.add(a, b, out=out)
+        out = _take(vertex_field, c.edge_v1)
+        np.add(out, _take(vertex_field, c.edge_v2), out=out)
         out *= 0.5
         return out
 
     def vertex_to_cell(self, vertex_field: np.ndarray) -> np.ndarray:
         if not self._fast(vertex_field):
             return super().vertex_to_cell(vertex_field)
-        g = self._take(vertex_field, self.cache.cell_vertices_idx, "v2c")
+        g = _take(vertex_field, self.cache.cell_vertices_idx)
         if g.ndim == 2:
             return np.einsum("nd,nd->n", g, self.v2c_w_fold)
         return np.einsum("ndl,nd->nl", g, self.v2c_w_fold)
@@ -671,24 +640,22 @@ class FusedKernels(ReferenceKernels):
         # cell_recon is zero at invalid lanes (checked at compile), so
         # the reference's where-mask pass is redundant: 0-weight lanes
         # annihilate the clamped gather's garbage.
-        g = self._take(u_edge, self.cache.cell_edges_idx, "recon")
+        g = _take(u_edge, self.cache.cell_edges_idx)
         if g.ndim == 2:
-            return np.einsum("nik,nk->ni", self.mesh.cell_recon, g)
-        return np.einsum("nik,nkl->nil", self.mesh.cell_recon, g)
+            return np.einsum("nik,nk->ni", self.cell_recon, g)
+        return np.einsum("nik,nkl->nil", self.cell_recon, g)
 
     def tangential_velocity(self, u_edge: np.ndarray) -> np.ndarray:
         if not self._fast(u_edge):
             return super().tangential_velocity(u_edge)
         c = self.cache
         vec = self.reconstruct_cell_vectors(u_edge)
-        a = self._take(vec, c.edge_c1, "tang_a")
-        b = self._take(vec, c.edge_c2, "tang_b")
-        ve = self._buf("tang_ve", a.shape)
-        np.add(a, b, out=ve)
+        ve = _take(vec, c.edge_c1)
+        np.add(ve, _take(vec, c.edge_c2), out=ve)
         ve *= 0.5
         if ve.ndim == 2:
-            return np.einsum("ej,ej->e", ve, self.mesh.edge_tangent)
-        return np.einsum("ejl,ej->el", ve, self.mesh.edge_tangent)
+            return np.einsum("ej,ej->e", ve, self.edge_tangent)
+        return np.einsum("ejl,ej->el", ve, self.edge_tangent)
 
     def laplacian_edge(self, u_edge: np.ndarray) -> np.ndarray:
         if not self._fast(u_edge):
@@ -697,9 +664,9 @@ class FusedKernels(ReferenceKernels):
         div = self.divergence(u_edge)
         zeta = self.curl(u_edge)
         grad_div = self.gradient(div)
-        za = self._take(zeta, c.edge_v2, "lape_a")
-        zb = self._take(zeta, c.edge_v1, "lape_b")
-        le = self.mesh.le if u_edge.ndim == 1 else self.le_col
+        za = _take(zeta, c.edge_v2)
+        zb = _take(zeta, c.edge_v1)
+        le = self.le if u_edge.ndim == 1 else self.le_col
         if self._use_numexpr:  # pragma: no cover - needs numexpr
             out = np.empty_like(grad_div)
             _numexpr.evaluate(
@@ -709,11 +676,10 @@ class FusedKernels(ReferenceKernels):
                 out=out,
             )
             return out
-        cz = np.empty_like(grad_div)
-        np.subtract(za, zb, out=cz)
-        np.divide(cz, le, out=cz)
-        np.subtract(grad_div, cz, out=cz)
-        return cz
+        np.subtract(za, zb, out=za)
+        np.divide(za, le, out=za)
+        np.subtract(grad_div, za, out=za)
+        return za
 
 
 #: Registered backends (name -> plan class).

@@ -6,9 +6,10 @@ time in dynamics steps, initial-condition scenario, ensemble size, seed,
 and the Table 3 scheme (which carries the precision policy and the
 physics suite choice).  Two requests with equal fields are the *same*
 forecast, so :meth:`ForecastRequest.cache_key` hashes the canonical
-field encoding (plus a schema version) with SHA-256: the key is stable
-across processes and hosts, and any field change — including the
-precision policy — changes the key.
+field encoding (plus a schema version and the process's resolved
+stencil backend, whose kernels round differently) with SHA-256: the key
+is stable across processes and hosts, and any field change — including
+the precision policy — changes the key.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.dycore.stencil import default_backend
 from repro.ensemble.scenarios import scenario_names
 
 #: Bump when the request encoding or the result contents change shape —
 #: old cache entries must never satisfy new requests.
-CACHE_SCHEMA = "forecast/1"
+CACHE_SCHEMA = "forecast/2"
 
 #: Initial-condition scenarios the serving layer can build — the
 #: ensemble layer's scenario registry (legacy ``tropical``/
@@ -96,6 +98,9 @@ class ForecastRequest:
             "mixed_precision": self.mixed_precision,
             "ml_physics": self.ml_physics,
             "perturbation": float(self.perturbation),
+            # Not a request field: the server builds every model on the
+            # process default, and fused and reference bytes differ.
+            "stencil_backend": default_backend(),
         }
 
     def cache_key(self) -> str:

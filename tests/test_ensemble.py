@@ -12,6 +12,8 @@ registry.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import subprocess
 import sys
 
@@ -86,18 +88,31 @@ class TestScenarioRegistry:
             assert req.scenario == name
             assert req.model_key()[-1] == name
 
-    def test_legacy_cache_keys_unchanged(self):
+    def test_legacy_cache_keys_unchanged(self, monkeypatch):
         """The registry must not move a single byte of the pre-registry
-        request encoding — these hexes predate it."""
-        assert ForecastRequest().cache_key() == (
-            "d91d2c2dd778fe3aed1818a5280babd70bc02f59f84ecb2914535e3795454797"
-        )
+        request fields.  The ``forecast/1`` hexes predate it; the
+        ``forecast/2`` ones add the resolved stencil backend."""
+        monkeypatch.setenv("REPRO_STENCIL_BACKEND", "fused")
         req = ForecastRequest(level=3, nlev=8, steps=12, seed=42,
                               scheme="MIX-ML", scenario="baroclinic",
                               ensemble_size=2)
-        assert req.cache_key() == (
-            "d50d4d3ff0439a6973e207b2ce71c7d9a959cf755b16872a9eeec96c952b8ff1"
-        )
+        pinned = {
+            ForecastRequest(): (
+                "d91d2c2dd778fe3aed1818a5280babd70bc02f59f84ecb2914535e3795454797",
+                "6a61680db6514c2719ecde564de484b2cae7d8d08ef1b5ed8c3a816b1d6bdeb6",
+            ),
+            req: (
+                "d50d4d3ff0439a6973e207b2ce71c7d9a959cf755b16872a9eeec96c952b8ff1",
+                "65304dc93c6e1d787bed67c1f93ae1738e293f8db69b1fb2abc835755cb9b9ec",
+            ),
+        }
+        for r, (v1, v2) in pinned.items():
+            fields = r.canonical()
+            del fields["stencil_backend"]
+            fields["schema"] = "forecast/1"
+            blob = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+            assert hashlib.sha256(blob.encode()).hexdigest() == v1
+            assert r.cache_key() == v2
 
     def test_climate_scenarios_marked(self):
         assert get_scenario("aquaplanet").kind == "climate"

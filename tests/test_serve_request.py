@@ -105,6 +105,24 @@ class TestCacheKey:
         )
         assert out.stdout.strip() == req.cache_key()
 
+    def test_key_covers_stencil_backend(self, monkeypatch):
+        """Fused and reference bytes differ, so a shared cache must
+        never answer one backend's request with the other's result;
+        each backend's key is stable across processes."""
+        keys = {}
+        for backend in ("reference", "fused"):
+            monkeypatch.setenv("REPRO_STENCIL_BACKEND", backend)
+            assert ForecastRequest(seed=3).canonical()["stencil_backend"] == backend
+            keys[backend] = ForecastRequest(seed=3).cache_key()
+            out = subprocess.run(
+                [sys.executable, "-c",
+                 "from repro.serve import ForecastRequest;"
+                 "print(ForecastRequest(seed=3).cache_key())"],
+                capture_output=True, text=True, check=True,
+            )
+            assert out.stdout.strip() == keys[backend]
+        assert keys["reference"] != keys["fused"]
+
     def test_model_key_excludes_state_only_fields(self):
         """Lead time, seed, ensemble size live in the state — requests
         differing only there share a pooled model."""

@@ -13,6 +13,7 @@ operator-cache/hot-loop bugfix regressions.
 * the three named hot-loop bugfixes each carry a regression test.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -214,8 +215,8 @@ class TestBackendEquivalence:
             )
 
     def test_fused_returns_fresh_arrays(self, mesh3):
-        """Outputs must never alias plan scratch: consecutive calls
-        return distinct arrays (the solver keeps stage tendencies)."""
+        """Consecutive calls return distinct arrays (the solver keeps
+        stage tendencies)."""
         f = _fields(mesh3, 23, 6)
         a = ops.divergence(mesh3, f["edge"], backend="fused")
         b = ops.divergence(mesh3, 2.0 * f["edge"], backend="fused")
@@ -337,6 +338,77 @@ class TestOperatorCacheThreadSafety:
         assert stc.compiled_kernels(mesh3, "fused") is p1
 
 
+class TestSharedMeshConcurrency:
+    """A published fused plan keeps no per-call state: many threads may
+    call every kernel on one mesh at once."""
+
+    KERNELS = {"gather_edges": ("edge",), **OPERATORS}
+
+    def test_threads_bitwise_equal_to_single_thread(self, mesh3):
+        n, rounds = 8, 3
+        plan = stc.compiled_kernels(mesh3, "fused")
+        inputs = [_fields(mesh3, 300 + i, (0, 6)[i % 2]) for i in range(n)]
+
+        def call(name, fields):
+            return getattr(plan, name)(*[fields[k] for k in self.KERNELS[name]])
+
+        expected = [
+            {name: call(name, f) for name in self.KERNELS} for f in inputs
+        ]
+        barrier = threading.Barrier(n)
+        mismatches, errors = [], []
+
+        def worker(i):
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(rounds):
+                    for name in self.KERNELS:
+                        if not np.array_equal(call(name, inputs[i]), expected[i][name]):
+                            mismatches.append((i, name))
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert mismatches == []
+
+
+class TestPlanLifetime:
+    """Plans hold the mesh's arrays, not the mesh: a discarded model's
+    mesh is freed by reference counting, without the cyclic GC."""
+
+    @pytest.mark.parametrize("scheme", ["DP-PHY", "MIX-ML"])
+    def test_mesh_freed_without_cyclic_gc(self, scheme):
+        import gc
+        import weakref
+
+        from repro.serve.pool import build_forecast_model, make_member_state
+        from repro.serve.request import ForecastRequest
+
+        req = ForecastRequest(level=2, nlev=6, steps=2, scheme=scheme)
+        gc.collect()
+        gc.disable()
+        try:
+            model = build_forecast_model(req.model_key())
+            model.run(make_member_state(model, req, 0), req.steps)
+            assert model.mesh._stencil_plans
+            mesh_ref = weakref.ref(model.mesh)
+            del model
+            assert mesh_ref() is None, "mesh kept alive by a reference cycle"
+        finally:
+            gc.enable()
+
+
 class TestGatherEdgesPadWeight:
     """Bugfix: clamp-gather + boolean-scatter replaced by pad-weight."""
 
@@ -401,23 +473,24 @@ class TestBackendSelection:
             stc.bind_stencil_backend(mesh3, "magic")
 
     def test_env_default(self, monkeypatch):
-        monkeypatch.setenv(stc.BACKEND_ENV, "fused")
-        assert stc.default_backend() == "fused"
-        mesh = build_mesh(1)
-        assert stc.bound_backend(mesh) == "fused"
-        ops.curl(mesh, np.zeros(mesh.ne))
-        assert stc.compiled_kernels(mesh).backend == "fused"
-        monkeypatch.delenv(stc.BACKEND_ENV)
+        monkeypatch.setenv(stc.BACKEND_ENV, "reference")
         assert stc.default_backend() == "reference"
-
-    def test_mesh_binding_and_unbinding(self):
         mesh = build_mesh(1)
         assert stc.bound_backend(mesh) == "reference"
-        stc.bind_stencil_backend(mesh, "fused")
+        ops.curl(mesh, np.zeros(mesh.ne))
+        assert stc.compiled_kernels(mesh).backend == "reference"
+        monkeypatch.delenv(stc.BACKEND_ENV)
+        assert stc.default_backend() == "fused"
+
+    def test_mesh_binding_and_unbinding(self, monkeypatch):
+        monkeypatch.delenv(stc.BACKEND_ENV, raising=False)
+        mesh = build_mesh(1)
         assert stc.bound_backend(mesh) == "fused"
-        assert stc.compiled_kernels(mesh).backend == "fused"
-        stc.bind_stencil_backend(mesh, None)
+        stc.bind_stencil_backend(mesh, "reference")
         assert stc.bound_backend(mesh) == "reference"
+        assert stc.compiled_kernels(mesh).backend == "reference"
+        stc.bind_stencil_backend(mesh, None)
+        assert stc.bound_backend(mesh) == "fused"
 
     def test_solver_config_binds_mesh(self):
         from repro.dycore.solver import DycoreConfig, DynamicalCore
@@ -455,6 +528,44 @@ class TestSolverPerBackend:
             a, b = getattr(ref, name), getattr(fus, name)
             scale = max(float(np.abs(a).max()), 1e-300)
             assert float(np.abs(a - b).max()) <= 1e-9 * scale, name
+
+
+def _coupled_run(scheme, backend, steps):
+    from repro.serve.pool import build_forecast_model, make_member_state
+    from repro.serve.request import ForecastRequest
+
+    req = ForecastRequest(level=3, nlev=8, steps=steps, scheme=scheme)
+    model = build_forecast_model(req.model_key(), stencil_backend=backend)
+    state = model.run(make_member_state(model, req, 0), steps)
+    return {
+        "u": state.u, "theta": state.theta, "ps": state.ps,
+        "qv": state.tracers["qv"],
+        "precip": np.array([model.history.mean_precip().mean()]),
+    }
+
+
+class TestCoupledBackendContract:
+    """End to end: a coupled G3 run on the fused backend stays within
+    :data:`COUPLED_BACKEND_CONTRACT` of the reference run (dt 524 s)."""
+
+    def _check(self, scheme, steps):
+        from repro.parallel.overlap import COUPLED_BACKEND_CONTRACT
+
+        ref = _coupled_run(scheme, "reference", steps)
+        fused = _coupled_run(scheme, "fused", steps)
+        for name, tol in COUPLED_BACKEND_CONTRACT.items():
+            bound = tol * max(float(np.abs(ref[name]).max()), 1e-300)
+            err = float(np.abs(fused[name] - ref[name]).max())
+            assert err <= bound, f"{scheme} {name}: {err:.3e} > {bound:.3e}"
+
+    @pytest.mark.parametrize("scheme", ["DP-PHY", "MIX-PHY"])
+    def test_36_steps(self, scheme):
+        self._check(scheme, 36)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("scheme", ["DP-PHY", "MIX-PHY"])
+    def test_one_model_day(self, scheme):
+        self._check(scheme, 165)
 
 
 class TestKernelAnnotationsPerBackend:
